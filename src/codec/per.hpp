@@ -31,6 +31,10 @@ class PerWriter {
   /// minimal-octet count followed by the aligned value.
   void constrained(std::uint64_t v, std::uint64_t lo, std::uint64_t hi);
 
+  /// Least number of bits constrained(v, lo, hi) writes (alignment padding
+  /// excluded): a lower bound for list-count guards on decode.
+  static std::size_t min_bits(std::uint64_t lo, std::uint64_t hi) noexcept;
+
   /// Semi-constrained whole number >= lo: length determinant + minimal
   /// octets (X.691 §11.7).
   void semi_constrained(std::uint64_t v, std::uint64_t lo);

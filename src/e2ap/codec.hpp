@@ -1,7 +1,8 @@
 // E2AP wire codec interface: IR <-> bytes.
 //
-// Two concrete codecs exist (PER and FLAT); the transport layer and all SDK
-// users only see this interface, so the encoding can be swapped per
+// Two concrete codecs exist (PER and FLAT), both derived from the IR's single
+// serde() declaration per message (codec.cpp); the transport layer and all
+// SDK users only see this interface, so the encoding can be swapped per
 // connection — the flexibility the paper evaluates in §5.2.
 #pragma once
 

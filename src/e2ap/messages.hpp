@@ -3,10 +3,11 @@
 // The paper's E2 abstraction (§4.3) models E2AP procedures "without loss of
 // information and independent of any particular encoding/decoding
 // algorithms". These structs are that IR: agents, the server library, iApps
-// and xApps all exchange them; the wire codecs in per_codec.cpp /
-// flat_codec.cpp translate them to bytes. 21 procedures are implemented
-// (the paper implements 20/26 in ASN.1 and 12/26 in FlatBuffers; here both
-// codecs cover all 21).
+// and xApps all exchange them. Each struct declares its wire fields once in
+// a serde() template next to it; codec.cpp derives both the PER and the FLAT
+// encoding from those declarations through the archives every SM uses
+// (e2sm/serde.hpp). 21 procedures are implemented (the paper implements
+// 20/26 in ASN.1 and 12/26 in FlatBuffers; here both codecs cover all 21).
 //
 // SM payloads (event triggers, action definitions, indication header/message,
 // control header/message) are opaque byte strings at this layer — E2 double-
@@ -17,9 +18,11 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
+#include "codec/wire.hpp"
 #include "common/buffer.hpp"
 
 namespace flexric::e2ap {
@@ -50,12 +53,20 @@ enum class MsgType : std::uint8_t {
   control_ack,
   control_failure,
 };
+constexpr MsgType enum_last(MsgType) { return MsgType::control_failure; }
 constexpr std::size_t kNumMsgTypes = 21;
 const char* msg_type_name(MsgType t) noexcept;
 
 /// E2 node kind: monolithic eNB/gNB or a disaggregated part (CU/DU). The RAN
 /// management in the server merges CU+DU agents of the same base station.
 enum class NodeType : std::uint8_t { enb = 0, gnb, cu, du };
+constexpr NodeType enum_last(NodeType) { return NodeType::du; }
+
+/// RAN function ids (and revisions) are constrained to 0..4095: 12 bits in
+/// PER, a u16 in FLAT.
+inline constexpr auto ran_fn_id = [](auto& a, std::uint16_t& id) {
+  a.bounded(id, 4095);
+};
 
 /// Globally unique E2 node identity (simplified GlobalE2node-ID).
 struct GlobalNodeId {
@@ -64,6 +75,13 @@ struct GlobalNodeId {
   NodeType type = NodeType::enb;
   bool operator==(const GlobalNodeId&) const = default;
 };
+
+template <typename A>
+void serde(A& a, GlobalNodeId& n) {
+  a.bounded(n.plmn, 0xFFFFFF);    // 24-bit PLMN
+  a.bounded(n.nb_id, 0xFFFFFFF);  // 28-bit gNB id space
+  a.enumerated(n.type);
+}
 
 /// A RAN function advertised by an E2 node at setup time.
 struct RanFunctionItem {
@@ -74,13 +92,35 @@ struct RanFunctionItem {
   bool operator==(const RanFunctionItem&) const = default;
 };
 
+template <typename A>
+void serde(A& a, RanFunctionItem& f) {
+  ran_fn_id(a, f.id);
+  ran_fn_id(a, f.revision);
+  a.str(f.name);
+  a.bytes(f.definition);
+}
+
 /// Failure cause (simplified E2AP Cause IE).
 struct Cause {
   enum class Group : std::uint8_t { ric = 0, transport, protocol, misc };
+  friend constexpr Group enum_last(Group) { return Group::misc; }
   Group group = Group::misc;
   std::uint8_t value = 0;
   bool operator==(const Cause&) const = default;
 };
+
+template <typename A>
+void serde(A& a, Cause& c) {
+  a.enumerated(c.group);
+  a.u8(c.value);
+}
+
+/// (RAN function id, cause) list element.
+inline constexpr auto ran_fn_cause =
+    [](auto& a, std::pair<std::uint16_t, Cause>& p) {
+      ran_fn_id(a, p.first);
+      a.field(p.second);
+    };
 
 /// Identifies one subscription/control transaction of one requestor (xApp or
 /// iApp) — the E2AP RICrequestID.
@@ -91,8 +131,15 @@ struct RicRequestId {
   auto operator<=>(const RicRequestId&) const = default;
 };
 
+template <typename A>
+void serde(A& a, RicRequestId& r) {
+  a.u16(r.requestor);
+  a.u16(r.instance);
+}
+
 /// Subscription action kind (E2SM services; see Appendix A of the paper).
 enum class ActionType : std::uint8_t { report = 0, insert, policy };
+constexpr ActionType enum_last(ActionType) { return ActionType::policy; }
 
 struct Action {
   std::uint8_t id = 0;
@@ -101,6 +148,13 @@ struct Action {
   bool operator==(const Action&) const = default;
   auto operator<=>(const Action&) const = default;
 };
+
+template <typename A>
+void serde(A& a, Action& x) {
+  a.u8(x.id);
+  a.enumerated(x.type);
+  a.bytes(x.definition);
+}
 
 // ---------------------------------------------------------------------------
 // Global procedures
@@ -114,6 +168,13 @@ struct SetupRequest {
   bool operator==(const SetupRequest&) const = default;
 };
 
+template <typename A>
+void serde(A& a, SetupRequest& m) {
+  a.u8(m.trans_id);
+  a.field(m.node);
+  a.vec(m.ran_functions);
+}
+
 struct SetupResponse {
   static constexpr MsgType kType = MsgType::setup_response;
   std::uint8_t trans_id = 0;
@@ -123,12 +184,26 @@ struct SetupResponse {
   bool operator==(const SetupResponse&) const = default;
 };
 
+template <typename A>
+void serde(A& a, SetupResponse& m) {
+  a.u8(m.trans_id);
+  a.bounded(m.ric_id, 0xFFFFF);  // 20-bit RIC id
+  a.vec(m.accepted, ran_fn_id);
+  a.vec(m.rejected, ran_fn_cause);
+}
+
 struct SetupFailure {
   static constexpr MsgType kType = MsgType::setup_failure;
   std::uint8_t trans_id = 0;
   Cause cause;
   bool operator==(const SetupFailure&) const = default;
 };
+
+template <typename A>
+void serde(A& a, SetupFailure& m) {
+  a.u8(m.trans_id);
+  a.field(m.cause);
+}
 
 struct ResetRequest {
   static constexpr MsgType kType = MsgType::reset_request;
@@ -137,11 +212,22 @@ struct ResetRequest {
   bool operator==(const ResetRequest&) const = default;
 };
 
+template <typename A>
+void serde(A& a, ResetRequest& m) {
+  a.u8(m.trans_id);
+  a.field(m.cause);
+}
+
 struct ResetResponse {
   static constexpr MsgType kType = MsgType::reset_response;
   std::uint8_t trans_id = 0;
   bool operator==(const ResetResponse&) const = default;
 };
+
+template <typename A>
+void serde(A& a, ResetResponse& m) {
+  a.u8(m.trans_id);
+}
 
 struct ErrorIndication {
   static constexpr MsgType kType = MsgType::error_indication;
@@ -150,6 +236,23 @@ struct ErrorIndication {
   Cause cause;
   bool operator==(const ErrorIndication&) const = default;
 };
+
+template <typename A>
+void serde(A& a, ErrorIndication& m) {
+  // PER leads with the SEQUENCE's presence bitmap; FLAT keeps each flag
+  // next to its (always written) value.
+  if constexpr (A::kFormat == WireFormat::per) {
+    a.opt_flag(m.request);
+    a.opt_flag(m.ran_function_id);
+    a.opt_value(m.request);
+  } else {
+    a.opt_flag(m.request);
+    a.opt_value(m.request);
+    a.opt_flag(m.ran_function_id);
+  }
+  a.opt_value(m.ran_function_id, ran_fn_id);
+  a.field(m.cause);
+}
 
 /// RAN function add/modify/remove after setup (RIC Service Update).
 struct ServiceUpdate {
@@ -161,6 +264,14 @@ struct ServiceUpdate {
   bool operator==(const ServiceUpdate&) const = default;
 };
 
+template <typename A>
+void serde(A& a, ServiceUpdate& m) {
+  a.u8(m.trans_id);
+  a.vec(m.added);
+  a.vec(m.modified);
+  a.vec(m.removed, ran_fn_id);
+}
+
 struct ServiceUpdateAck {
   static constexpr MsgType kType = MsgType::service_update_ack;
   std::uint8_t trans_id = 0;
@@ -169,12 +280,25 @@ struct ServiceUpdateAck {
   bool operator==(const ServiceUpdateAck&) const = default;
 };
 
+template <typename A>
+void serde(A& a, ServiceUpdateAck& m) {
+  a.u8(m.trans_id);
+  a.vec(m.accepted, ran_fn_id);
+  a.vec(m.rejected, ran_fn_cause);
+}
+
 struct ServiceUpdateFailure {
   static constexpr MsgType kType = MsgType::service_update_failure;
   std::uint8_t trans_id = 0;
   Cause cause;
   bool operator==(const ServiceUpdateFailure&) const = default;
 };
+
+template <typename A>
+void serde(A& a, ServiceUpdateFailure& m) {
+  a.u8(m.trans_id);
+  a.field(m.cause);
+}
 
 /// E2 node configuration update (simplified: opaque component configs).
 struct NodeConfigUpdate {
@@ -184,12 +308,24 @@ struct NodeConfigUpdate {
   bool operator==(const NodeConfigUpdate&) const = default;
 };
 
+template <typename A>
+void serde(A& a, NodeConfigUpdate& m) {
+  a.u8(m.trans_id);
+  a.vec(m.components);
+}
+
 struct NodeConfigUpdateAck {
   static constexpr MsgType kType = MsgType::node_config_update_ack;
   std::uint8_t trans_id = 0;
   std::vector<std::string> accepted_components;
   bool operator==(const NodeConfigUpdateAck&) const = default;
 };
+
+template <typename A>
+void serde(A& a, NodeConfigUpdateAck& m) {
+  a.u8(m.trans_id);
+  a.vec(m.accepted_components);
+}
 
 // ---------------------------------------------------------------------------
 // Functional procedures
@@ -204,6 +340,14 @@ struct SubscriptionRequest {
   bool operator==(const SubscriptionRequest&) const = default;
 };
 
+template <typename A>
+void serde(A& a, SubscriptionRequest& m) {
+  a.field(m.request);
+  ran_fn_id(a, m.ran_function_id);
+  a.bytes(m.event_trigger);
+  a.vec(m.actions);
+}
+
 struct SubscriptionResponse {
   static constexpr MsgType kType = MsgType::subscription_response;
   RicRequestId request;
@@ -213,6 +357,14 @@ struct SubscriptionResponse {
   bool operator==(const SubscriptionResponse&) const = default;
 };
 
+template <typename A>
+void serde(A& a, SubscriptionResponse& m) {
+  a.field(m.request);
+  ran_fn_id(a, m.ran_function_id);
+  a.vec(m.admitted);
+  a.vec(m.not_admitted);
+}
+
 struct SubscriptionFailure {
   static constexpr MsgType kType = MsgType::subscription_failure;
   RicRequestId request;
@@ -221,12 +373,25 @@ struct SubscriptionFailure {
   bool operator==(const SubscriptionFailure&) const = default;
 };
 
+template <typename A>
+void serde(A& a, SubscriptionFailure& m) {
+  a.field(m.request);
+  ran_fn_id(a, m.ran_function_id);
+  a.field(m.cause);
+}
+
 struct SubscriptionDeleteRequest {
   static constexpr MsgType kType = MsgType::subscription_delete_request;
   RicRequestId request;
   std::uint16_t ran_function_id = 0;
   bool operator==(const SubscriptionDeleteRequest&) const = default;
 };
+
+template <typename A>
+void serde(A& a, SubscriptionDeleteRequest& m) {
+  a.field(m.request);
+  ran_fn_id(a, m.ran_function_id);
+}
 
 struct SubscriptionDeleteResponse {
   static constexpr MsgType kType = MsgType::subscription_delete_response;
@@ -235,6 +400,12 @@ struct SubscriptionDeleteResponse {
   bool operator==(const SubscriptionDeleteResponse&) const = default;
 };
 
+template <typename A>
+void serde(A& a, SubscriptionDeleteResponse& m) {
+  a.field(m.request);
+  ran_fn_id(a, m.ran_function_id);
+}
+
 struct SubscriptionDeleteFailure {
   static constexpr MsgType kType = MsgType::subscription_delete_failure;
   RicRequestId request;
@@ -242,6 +413,13 @@ struct SubscriptionDeleteFailure {
   Cause cause;
   bool operator==(const SubscriptionDeleteFailure&) const = default;
 };
+
+template <typename A>
+void serde(A& a, SubscriptionDeleteFailure& m) {
+  a.field(m.request);
+  ran_fn_id(a, m.ran_function_id);
+  a.field(m.cause);
+}
 
 /// RIC Indication: RAN function -> RIC. Carries the (already SM-encoded)
 /// indication header + message — the "inner" encoding of E2's double
@@ -259,6 +437,19 @@ struct Indication {
   bool operator==(const Indication&) const = default;
 };
 
+template <typename A>
+void serde(A& a, Indication& m) {
+  a.field(m.request);
+  ran_fn_id(a, m.ran_function_id);
+  a.u8(m.action_id);
+  a.u32(m.sn);
+  a.enumerated(m.type);
+  a.opt_flag(m.call_process_id);
+  a.bytes(m.header);
+  a.bytes(m.message);
+  a.opt_value(m.call_process_id);
+}
+
 /// RIC Control: RIC -> RAN function.
 struct ControlRequest {
   static constexpr MsgType kType = MsgType::control_request;
@@ -271,6 +462,17 @@ struct ControlRequest {
   bool operator==(const ControlRequest&) const = default;
 };
 
+template <typename A>
+void serde(A& a, ControlRequest& m) {
+  a.field(m.request);
+  ran_fn_id(a, m.ran_function_id);
+  a.boolean(m.ack_requested);
+  a.opt_flag(m.call_process_id);
+  a.bytes(m.header);
+  a.bytes(m.message);
+  a.opt_value(m.call_process_id);
+}
+
 struct ControlAck {
   static constexpr MsgType kType = MsgType::control_ack;
   RicRequestId request;
@@ -278,6 +480,13 @@ struct ControlAck {
   Buffer outcome;
   bool operator==(const ControlAck&) const = default;
 };
+
+template <typename A>
+void serde(A& a, ControlAck& m) {
+  a.field(m.request);
+  ran_fn_id(a, m.ran_function_id);
+  a.bytes(m.outcome);
+}
 
 struct ControlFailure {
   static constexpr MsgType kType = MsgType::control_failure;
@@ -287,6 +496,14 @@ struct ControlFailure {
   Buffer outcome;
   bool operator==(const ControlFailure&) const = default;
 };
+
+template <typename A>
+void serde(A& a, ControlFailure& m) {
+  a.field(m.request);
+  ran_fn_id(a, m.ran_function_id);
+  a.field(m.cause);
+  a.bytes(m.outcome);
+}
 
 /// The E2AP IR: exactly one procedure message.
 using Msg = std::variant<

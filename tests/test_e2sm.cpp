@@ -2,7 +2,10 @@
 // three wire formats derived from its single serde() declaration.
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "common/rng.hpp"
+#include "e2sm/assoc_sm.hpp"
 #include "e2sm/common.hpp"
 #include "e2sm/hw_sm.hpp"
 #include "e2sm/kpm_sm.hpp"
@@ -300,6 +303,112 @@ TEST_P(SmFormats, CorruptPayloadsRejectedCleanly) {
 TEST_P(SmFormats, LargeIndicationsRoundTrip) {
   // 32 UEs as in the scalability experiments (§5.3).
   expect_roundtrip(sample_mac(32));
+}
+
+// A forged list count must be rejected against the payload actually left,
+// before it sizes an allocation. The PER frame is two bytes: a long-form
+// length determinant claiming 16383 UEs and nothing else (unguarded, it
+// reserved 16383 x sizeof(UeStats), ~917 KB, before failing on the first
+// missing bit).
+TEST(SmListGuard, InflatedCountRejectedInEveryFormat) {
+  BufWriter count;
+  count.uvarint(16383);
+  FlatWriter flat;
+  flat.var_bytes(count.view());
+  ProtoWriter proto;
+  proto.field_bytes(1, count.view());
+  const std::pair<WireFormat, Buffer> frames[] = {
+      {WireFormat::per, Buffer{0xBF, 0xFF}},
+      {WireFormat::flat, flat.finish()},
+      {WireFormat::proto, proto.take()},
+  };
+  for (const auto& [format, wire] : frames) {
+    auto d = sm_decode<mac::IndicationMsg>(wire, format);
+    ASSERT_FALSE(d.is_ok()) << wire_format_name(format);
+    EXPECT_NE(d.error().message.find("count exceeds payload"),
+              std::string::npos)
+        << wire_format_name(format) << " got: " << d.error().message;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Enum discriminants are range-checked on decode in every format
+// ---------------------------------------------------------------------------
+
+/// One enum field of one SM message: encodes the message with the field set
+/// to a raw discriminant, and decodes a wire image back.
+struct EnumField {
+  const char* name;
+  std::uint8_t max;  ///< largest valid discriminant
+  std::function<Buffer(WireFormat, std::uint8_t)> encode;
+  std::function<Status(BytesView, WireFormat)> decode;
+};
+
+template <typename T, typename Get>
+EnumField enum_field(const char* name, T msg, Get get) {
+  using E = std::remove_reference_t<decltype(get(msg))>;
+  return {name, enum_max<E>(),
+          [msg, get](WireFormat f, std::uint8_t raw) {
+            T m = msg;
+            get(m) = static_cast<E>(raw);
+            return sm_encode(m, f);
+          },
+          [](BytesView wire, WireFormat f) {
+            return sm_decode<T>(wire, f).status();
+          }};
+}
+
+std::vector<EnumField> every_sm_enum_field() {
+  slice::CtrlMsg sctrl;
+  sctrl.slices.resize(1);
+  slice::IndicationMsg sind;
+  tc::CtrlMsg tctrl;
+  return {
+      enum_field("EventTrigger.kind", EventTrigger{},
+                 [](EventTrigger& m) -> auto& { return m.kind; }),
+      enum_field("rrc.IndicationMsg.kind", rrc::IndicationMsg{},
+                 [](rrc::IndicationMsg& m) -> auto& { return m.kind; }),
+      enum_field("assoc.CtrlMsg.kind", assoc::CtrlMsg{},
+                 [](assoc::CtrlMsg& m) -> auto& { return m.kind; }),
+      enum_field("slice.CtrlMsg.kind", sctrl,
+                 [](slice::CtrlMsg& m) -> auto& { return m.kind; }),
+      enum_field("slice.CtrlMsg.algo", sctrl,
+                 [](slice::CtrlMsg& m) -> auto& { return m.algo; }),
+      enum_field("slice.SliceConf.ue_sched", sctrl,
+                 [](slice::CtrlMsg& m) -> auto& {
+                   return m.slices[0].ue_sched;
+                 }),
+      enum_field("slice.NvsParams.kind", sctrl,
+                 [](slice::CtrlMsg& m) -> auto& {
+                   return m.slices[0].nvs.kind;
+                 }),
+      enum_field("slice.IndicationMsg.algo", sind,
+                 [](slice::IndicationMsg& m) -> auto& { return m.algo; }),
+      enum_field("tc.CtrlMsg.kind", tctrl,
+                 [](tc::CtrlMsg& m) -> auto& { return m.kind; }),
+      enum_field("tc.QueueConf.kind", tctrl,
+                 [](tc::CtrlMsg& m) -> auto& { return m.queue.kind; }),
+      enum_field("tc.SchedConf.kind", tctrl,
+                 [](tc::CtrlMsg& m) -> auto& { return m.sched.kind; }),
+      enum_field("tc.PacerConf.kind", tctrl,
+                 [](tc::CtrlMsg& m) -> auto& { return m.pacer.kind; }),
+  };
+}
+
+TEST(SmEnums, OutOfRangeDiscriminantRejectedInEveryFormat) {
+  for (const EnumField& e : every_sm_enum_field()) {
+    for (WireFormat f : kAllFormats) {
+      const char* fmt = wire_format_name(f).data();
+      Status last = e.decode(e.encode(f, e.max), f);
+      EXPECT_TRUE(last.is_ok()) << e.name << " " << fmt << " max";
+      for (int raw : {e.max + 1, 9, 0xFF}) {
+        if (raw <= e.max) continue;
+        Status st = e.decode(e.encode(f, static_cast<std::uint8_t>(raw)), f);
+        EXPECT_EQ(st.code(), Errc::out_of_range)
+            << e.name << " " << fmt << " = " << raw;
+      }
+    }
+  }
 }
 
 TEST(SmSizes, FormatOrderingForStatsPayloads) {

@@ -224,8 +224,10 @@ bool is_validator_name(const std::string& s) {
 
 void pass_wire_taint(const Corpus& corpus, const FileUnit& f,
                      const FileIndex& ix, std::vector<Finding>* out) {
-  // Only decoder territory: values here come straight off the wire.
-  if (f.rel.rfind("src/e2ap/", 0) != 0 && f.rel.rfind("src/codec/", 0) != 0)
+  // Only decoder territory: values here come straight off the wire (the
+  // serde decode archives of both E2AP and the SMs live in src/e2sm/).
+  if (f.rel.rfind("src/e2ap/", 0) != 0 && f.rel.rfind("src/codec/", 0) != 0 &&
+      f.rel.rfind("src/e2sm/", 0) != 0)
     return;
   const Tokens& t = f.lx.tokens;
 
